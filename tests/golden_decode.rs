@@ -13,11 +13,21 @@
 //!
 //! and review the fixture diff like any other code change.
 
+use bs_channel::geometry::Wall;
+use bs_channel::multiscene::MultiTagScene;
+use bs_channel::{FaultPlan, InterferenceConfig, Point, SceneConfig, TagState};
 use bs_dsp::correlate::{best_alignment, peak, sliding};
 use bs_dsp::slicer::{majority, sign_decision, vote_bit, Decision, HysteresisSlicer};
+use bs_dsp::SimRng;
+use bs_tag::frame::UplinkFrame;
+use bs_tag::modulator::{Modulator, UplinkMode};
+use bs_wifi::csi::CsiConfig;
+use bs_wifi::ofdm::csi_subchannel_offsets;
+use bs_wifi::CsiExtractor;
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 use wifi_backscatter::phy::run_uplink;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
+use wifi_backscatter::SeriesBundle;
 
 /// Compares `actual` against the committed fixture, or rewrites the
 /// fixture when `GOLDEN_BLESS` is set.
@@ -187,6 +197,116 @@ fn golden_uplink_decode_chain() {
     assert_golden(
         "tests/golden/uplink_chain.txt",
         include_str!("golden/uplink_chain.txt"),
+        &out,
+    );
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of every timestamp and
+/// every sample's `f64::to_bits`, so a last-bit drift anywhere in capture
+/// synthesis changes the digest.
+fn bundle_digest(bundle: &SeriesBundle) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = bundle
+        .t_us
+        .iter()
+        .copied()
+        .chain(bundle.series.iter().flatten().map(|v| v.to_bits()));
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn fmt_bundle(name: &str, bundle: &SeriesBundle) -> String {
+    format!(
+        "{name} packets {} channels {} fnv1a {:016x}\n",
+        bundle.packets(),
+        bundle.channels(),
+        bundle_digest(bundle)
+    )
+}
+
+/// A two-tag inventory capture: both tags answer the same slot, so the
+/// reader's CSI carries the superposition of their switch waveforms.
+/// Fading is on and the extractor is ideal (unquantised), so the digest
+/// sees every bit of the scene's snapshots.
+fn multitag_bundle(seed: u64) -> SeriesBundle {
+    let root = SimRng::new(seed);
+    let cfg = SceneConfig::uplink(0.10);
+    let tags = vec![Point::new(0.0, 0.0), Point::new(0.0, -0.02)];
+    let mut scene = MultiTagScene::new(cfg, tags, &root.stream("scene"));
+    let offsets = csi_subchannel_offsets();
+    let mut ex = CsiExtractor::new(CsiConfig::ideal(), root.stream("csi"));
+    let frame_a = UplinkFrame::new((0..16).map(|i| i % 3 == 0).collect());
+    let frame_b = UplinkFrame::new((0..16).map(|i| (i * 7) % 5 < 2).collect());
+    let mod_a = Modulator::from_chip_rate(&frame_a, 100, UplinkMode::Plain, 100_000);
+    let mod_b = Modulator::from_chip_rate(&frame_b, 100, UplinkMode::Plain, 100_000);
+    let ms: Vec<_> = (0..2_000u64)
+        .map(|i| {
+            let t_us = i * 333;
+            let states: [TagState; 2] = [mod_a.state_at(t_us), mod_b.state_at(t_us)];
+            let snap = scene.snapshot(t_us as f64 / 1e6, &states, &offsets);
+            ex.measure(&snap, t_us)
+        })
+        .collect();
+    SeriesBundle::from_csi(&ms)
+}
+
+/// Capture synthesis, bit for bit: every timestamp and every sample of
+/// `capture_uplink(..).bundle` (scene snapshot, MAC, CSI/RSSI extraction,
+/// faults) across the operating points whose synthesis paths differ. The
+/// decode-chain golden above pins scores to 7 significant digits; this one
+/// catches a change in the last bit of any synthesised value.
+#[test]
+fn golden_capture_synthesis() {
+    let payload: Vec<bool> = (0..16).map(|i| (i * 5) % 3 == 0).collect();
+    let base = |d: f64, measurement: Measurement, seed: u64| {
+        let mut cfg = LinkConfig::fig10(d, 100, 10, seed);
+        cfg.measurement = measurement;
+        cfg.payload = payload.clone();
+        cfg
+    };
+    let mut cases: Vec<(String, LinkConfig)> = Vec::new();
+    for (m_name, m) in [("csi", Measurement::Csi), ("rssi", Measurement::Rssi)] {
+        for (cm, seed) in [(10, 81), (30, 82), (65, 83)] {
+            cases.push((format!("{m_name}-{cm}cm"), base(cm as f64 / 100.0, m, seed)));
+        }
+    }
+    let mut walled = base(0.3, Measurement::Csi, 84);
+    walled.scene.walls = vec![Wall::new(Point::new(1.5, -5.0), Point::new(1.5, 5.0), 10.0)];
+    cases.push(("csi-30cm-walled".into(), walled));
+    // Ideal CSI skips the amplitude quantiser, so a last-bit change in a
+    // channel snapshot reaches the bundle instead of rounding away.
+    let mut ideal = base(0.3, Measurement::Csi, 89);
+    ideal.ideal_csi = true;
+    cases.push(("csi-30cm-ideal".into(), ideal));
+    let mut oven = base(0.3, Measurement::Csi, 85);
+    oven.scene.interference = Some(InterferenceConfig::microwave_oven());
+    cases.push(("csi-30cm-microwave".into(), oven));
+    for (preset, seed) in [("drift", 86), ("sensor", 87)] {
+        let mut cfg = base(0.3, Measurement::Csi, seed);
+        cfg.faults = FaultPlan::preset(preset, 1.0, seed).expect("known preset");
+        cases.push((format!("csi-30cm-{preset}"), cfg));
+    }
+
+    let mut out = String::new();
+    for (name, cfg) in &cases {
+        let capture = capture_uplink(cfg);
+        if name.ends_with("sensor") {
+            assert!(
+                capture.fault_events.frozen_packets > 0,
+                "the sensor preset must freeze some measurements"
+            );
+        }
+        out.push_str(&fmt_bundle(name, &capture.bundle));
+    }
+    out.push_str(&fmt_bundle("multitag-csi-10cm", &multitag_bundle(88)));
+    assert_golden(
+        "tests/golden/capture_synthesis.txt",
+        include_str!("golden/capture_synthesis.txt"),
         &out,
     );
 }
