@@ -144,6 +144,50 @@ impl Multipath {
     }
 }
 
+/// The responses of a scene's links at one offset list, evaluated once and
+/// reused for as long as callers keep passing that list.
+///
+/// A realisation never changes after it is drawn, so a response depends
+/// only on the link and the offset. The cache is keyed by the offsets' bit
+/// patterns: `-0.0` and `0.0` are different keys, and so are NaNs with
+/// different payloads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResponseCache {
+    /// `f64::to_bits` of the offsets the responses were evaluated at.
+    key: Vec<u64>,
+    /// `responses[i * key.len() + k]`: link `i`'s response at offset `k`.
+    responses: Vec<Complex>,
+}
+
+impl ResponseCache {
+    /// Makes the cache hold the responses of `links` at `offsets`,
+    /// evaluating them only if `offsets` differs from the previous call's.
+    /// Every call must pass the same links in the same order.
+    pub(crate) fn refresh<'a>(
+        &mut self,
+        offsets: &[f64],
+        links: impl IntoIterator<Item = &'a Multipath>,
+    ) {
+        let hit = self.key.len() == offsets.len()
+            && self.key.iter().zip(offsets).all(|(&k, f)| k == f.to_bits());
+        if hit {
+            return;
+        }
+        self.key.clear();
+        self.key.extend(offsets.iter().map(|f| f.to_bits()));
+        self.responses.clear();
+        for mp in links {
+            self.responses.extend(offsets.iter().map(|&f| mp.response(f)));
+        }
+    }
+
+    /// Link `i`'s responses, one per offset of the last [`Self::refresh`].
+    pub(crate) fn link(&self, i: usize) -> &[Complex] {
+        let n = self.key.len();
+        &self.responses[i * n..(i + 1) * n]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +290,29 @@ mod tests {
             k_factor: 0.0,
         };
         Multipath::generate(&cfg, &mut SimRng::new(0));
+    }
+
+    #[test]
+    fn response_cache_keys_offsets_by_bit_pattern() {
+        let mut r = rng();
+        let cfg = MultipathConfig::default();
+        let links = [
+            Multipath::generate(&cfg, &mut r),
+            Multipath::generate(&cfg, &mut r),
+        ];
+        let mut cache = ResponseCache::default();
+        // `-0.0 == 0.0`, so a cache keyed by `==` would serve the `0.0`
+        // responses for `-0.0`; the same holds for a reordered list of the
+        // same length if only lengths were compared.
+        for offsets in [[0.0, 5e6], [-0.0, 5e6], [0.0, 5e6], [5e6, 0.0]] {
+            cache.refresh(&offsets, &links);
+            let bits: Vec<u64> = offsets.iter().map(|f| f.to_bits()).collect();
+            assert_eq!(cache.key, bits);
+            for (i, mp) in links.iter().enumerate() {
+                let want: Vec<Complex> = offsets.iter().map(|&f| mp.response(f)).collect();
+                assert_eq!(cache.link(i), &want[..]);
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! ```text
 //! H(f, ant, states) = direct(f, ant) + Σᵢ scatterᵢ(f, ant, stateᵢ)
 //! ```
+//!
+//! As in [`crate::scene::Scene`], the static multipath responses are
+//! evaluated once per offset list and enter the products in the uncached
+//! order, so snapshots are bit-identical to a fresh evaluation.
 
 use crate::backscatter::TagState;
 use crate::fading::SlowFading;
 use crate::geometry::{path_wall_loss_db, Point};
-use crate::multipath::Multipath;
+use crate::multipath::{Multipath, ResponseCache};
 use crate::pathloss::{db_to_linear, dbm_to_mw};
 use crate::scene::{ChannelSnapshot, SceneConfig};
 use bs_dsp::{Complex, SimRng};
@@ -38,6 +42,8 @@ pub struct MultiTagScene {
     tags: Vec<TagLinks>,
     fading_direct: SlowFading,
     fading_scatter: SlowFading,
+    /// Responses of `hr[..]`, then per tag its `ht_mp` and `tr[..]`.
+    responses: ResponseCache,
 }
 
 impl MultiTagScene {
@@ -97,6 +103,7 @@ impl MultiTagScene {
             tags,
             fading_direct,
             fading_scatter,
+            responses: ResponseCache::default(),
         }
     }
 
@@ -124,22 +131,30 @@ impl MultiTagScene {
         let g_direct = self.fading_direct.gain_at(t_s);
         let g_scatter = self.fading_scatter.gain_at(t_s);
 
-        let h: Vec<Vec<Complex>> = (0..self.cfg.reader_antennas)
+        let n_ant = self.cfg.reader_antennas;
+        let links = self.hr.iter().map(|(_, mp)| mp).chain(self.tags.iter().flat_map(|tag| {
+            std::iter::once(&tag.ht_mp).chain(tag.tr.iter().map(|(_, mp)| mp))
+        }));
+        self.responses.refresh(freq_offsets_hz, links);
+        let r = &self.responses;
+        // Tag `i`'s helper→tag link index; its tag→reader links follow it.
+        let tag_link = |i: usize| n_ant + i * (n_ant + 1);
+
+        let h: Vec<Vec<Complex>> = (0..n_ant)
             .map(|ant| {
-                let (hr_amp, hr_mp) = &self.hr[ant];
-                freq_offsets_hz
-                    .iter()
-                    .map(|&f| {
-                        let mut total = g_direct * hr_mp.response(f) * *hr_amp;
-                        for (tag, &state) in self.tags.iter().zip(states) {
+                let (hr_amp, _) = &self.hr[ant];
+                (0..freq_offsets_hz.len())
+                    .map(|k| {
+                        let mut total = g_direct * r.link(ant)[k] * *hr_amp;
+                        for (i, (tag, &state)) in self.tags.iter().zip(states).enumerate() {
                             let scatter_amp = self
                                 .cfg
                                 .rcs
                                 .scatter_amplitude(state, self.cfg.pathloss.freq_hz);
-                            let (tr_amp, tr_mp) = &tag.tr[ant];
+                            let (tr_amp, _) = &tag.tr[ant];
                             total += g_scatter
-                                * tag.ht_mp.response(f)
-                                * tr_mp.response(f)
+                                * r.link(tag_link(i))[k]
+                                * r.link(tag_link(i) + 1 + ant)[k]
                                 * (tag.ht_amp * tr_amp * scatter_amp);
                         }
                         total
@@ -250,6 +265,34 @@ mod tests {
     #[should_panic(expected = "at least one tag")]
     fn no_tags_panics() {
         MultiTagScene::new(cfg(), vec![], &SimRng::new(5));
+    }
+
+    #[test]
+    fn cached_responses_follow_the_offset_list() {
+        // Alternating offset lists must give, bit for bit, what a scene
+        // that only ever saw one list gives.
+        let narrow = offsets();
+        let wide: Vec<f64> = narrow.iter().map(|f| f * 2.0).collect();
+        let lists = [&narrow, &wide];
+        let tags = vec![Point::new(-0.1, 0.0), Point::new(-0.2, 0.1)];
+        let rng = SimRng::new(7);
+        let mut mixed = MultiTagScene::new(cfg(), tags.clone(), &rng);
+        let mut refs: Vec<MultiTagScene> = lists
+            .iter()
+            .map(|_| MultiTagScene::new(cfg(), tags.clone(), &rng))
+            .collect();
+        let bits = |s: &ChannelSnapshot| -> Vec<u64> {
+            s.h.iter()
+                .flatten()
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect()
+        };
+        let states = [TagState::Reflect, TagState::Absorb];
+        for (step, l) in [0, 1, 1, 0, 1].into_iter().enumerate() {
+            let got = mixed.snapshot(0.0, &states, lists[l]);
+            let want = refs[l].snapshot(0.0, &states, lists[l]);
+            assert_eq!(bits(&got), bits(&want), "step {step}");
+        }
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //! unit-power multipath responses, `g` are slow-fading gains and `s` is the
 //! tag's scatter amplitude. The `bs-wifi` crate layers measurement effects
 //! (CSI estimation noise, quantisation, RSSI integration) on top.
+//!
+//! The multipath responses `M` are static: a scene evaluates them once per
+//! offset list and reuses them while callers keep passing that list, so
+//! per call only the fading gains `g` and the scatter amplitude `s` vary.
+//! The cached responses enter the products in the same order as a fresh
+//! evaluation would, so every snapshot is bit-identical to one from a scene
+//! that never cached (DESIGN.md §5, "Static multipath responses").
 
 use crate::backscatter::{RadarCrossSection, TagState};
 use crate::fading::{FadingConfig, SlowFading};
 use crate::geometry::{path_wall_loss_db, Point, Wall};
-use crate::multipath::{Multipath, MultipathConfig};
+use crate::multipath::{Multipath, MultipathConfig, ResponseCache};
 use crate::noise::NoiseConfig;
 use crate::pathloss::{db_to_linear, dbm_to_mw, LogDistance};
 use bs_dsp::{Complex, SimRng};
@@ -194,6 +201,8 @@ pub struct Scene {
     tr: Vec<Link>,
     fading_direct: SlowFading,
     fading_scatter: SlowFading,
+    /// Responses of `hr[..]`, `ht`, `tr[..]`, in that order.
+    responses: ResponseCache,
 }
 
 impl Scene {
@@ -238,6 +247,7 @@ impl Scene {
             tr,
             fading_direct,
             fading_scatter,
+            responses: ResponseCache::default(),
         }
     }
 
@@ -264,18 +274,23 @@ impl Scene {
             .rcs
             .scatter_amplitude(tag_state, self.cfg.pathloss.freq_hz);
 
-        let h = (0..self.cfg.reader_antennas)
+        let n_ant = self.cfg.reader_antennas;
+        let links = self.hr.iter().chain([&self.ht]).chain(&self.tr);
+        self.responses.refresh(freq_offsets_hz, links.map(|l| &l.mp));
+        let r_ht = self.responses.link(n_ant);
+        let h = (0..n_ant)
             .map(|ant| {
                 let hr = &self.hr[ant];
                 let tr = &self.tr[ant];
-                freq_offsets_hz
-                    .iter()
-                    .map(|&f| {
-                        let direct = g_direct * hr.mp.response(f) * hr.amp;
-                        let scattered = g_scatter
-                            * self.ht.mp.response(f)
-                            * tr.mp.response(f)
-                            * (self.ht.amp * tr.amp * scatter_amp);
+                let r_hr = self.responses.link(ant);
+                let r_tr = self.responses.link(n_ant + 1 + ant);
+                r_hr.iter()
+                    .zip(r_ht)
+                    .zip(r_tr)
+                    .map(|((&r_hr, &r_ht), &r_tr)| {
+                        let direct = g_direct * r_hr * hr.amp;
+                        let scattered =
+                            g_scatter * r_ht * r_tr * (self.ht.amp * tr.amp * scatter_amp);
                         direct + scattered
                     })
                     .collect()
@@ -347,6 +362,69 @@ mod tests {
         let mut cfg = SceneConfig::uplink(d_tag_reader);
         cfg.fading = FadingConfig::static_channel();
         Scene::new(cfg, &SimRng::new(seed))
+    }
+
+    /// `bs_wifi::ofdm::csi_subchannel_offsets()`: the 30 grouped CSI
+    /// sub-channels, on the odd subcarriers ±1..±29.
+    fn csi_offsets() -> Vec<f64> {
+        (-29..=29).step_by(2).map(|b| f64::from(b) * 312_500.0).collect()
+    }
+
+    /// `bs_wifi::ofdm::occupied_offsets()`: the 52 occupied subcarriers.
+    fn occupied_offsets() -> Vec<f64> {
+        (-26..=26)
+            .filter(|&b| b != 0)
+            .map(|b| f64::from(b) * 312_500.0)
+            .collect()
+    }
+
+    /// Every bit of a snapshot's channel and power terms.
+    fn snapshot_bits(s: &ChannelSnapshot) -> Vec<u64> {
+        s.h.iter()
+            .flatten()
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .chain([
+                s.tx_mw_per_subcarrier.to_bits(),
+                s.noise_mw_per_subcarrier.to_bits(),
+            ])
+            .collect()
+    }
+
+    #[test]
+    fn cached_responses_follow_the_offset_list() {
+        // One scene alternates offset lists, as an experiment sampling
+        // both the CSI sub-channels and the whole occupied band would.
+        // Each reference scene only ever sees one list. Fading is on, and
+        // every scene advances through the same times, so the fading gains
+        // stay in lockstep and only the response cache can make them differ.
+        let csi = csi_offsets();
+        let occupied = occupied_offsets();
+        let mut reversed = csi.clone();
+        reversed.reverse();
+        let zero = vec![0.0, 312_500.0];
+        let neg_zero = vec![-0.0, 312_500.0];
+        let lists = [&csi, &occupied, &reversed, &zero, &neg_zero];
+        let order = [0, 1, 0, 0, 2, 1, 3, 4, 3, 0, 4, 1];
+
+        let cfg = SceneConfig::uplink(0.3);
+        let rng = SimRng::new(31);
+        let mut mixed = Scene::new(cfg.clone(), &rng);
+        let mut refs: Vec<Scene> = lists.iter().map(|_| Scene::new(cfg.clone(), &rng)).collect();
+        for (step, &l) in order.iter().enumerate() {
+            let t = step as f64 * 0.05;
+            let state = if step % 2 == 0 {
+                TagState::Reflect
+            } else {
+                TagState::Absorb
+            };
+            let got = mixed.snapshot(t, state, lists[l]);
+            for (i, r) in refs.iter_mut().enumerate() {
+                let want = r.snapshot(t, state, lists[i]);
+                if i == l {
+                    assert_eq!(snapshot_bits(&got), snapshot_bits(&want), "step {step}");
+                }
+            }
+        }
     }
 
     #[test]

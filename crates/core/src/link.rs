@@ -522,7 +522,10 @@ pub fn capture_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkCa
                             return stale;
                         }
                     }
-                    last = Some(fresh.clone());
+                    // Only a degrading plan ever reads `last`.
+                    if degrade {
+                        last = Some(fresh.clone());
+                    }
                     fresh
                 })
                 .collect();

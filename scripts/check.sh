@@ -75,6 +75,15 @@ echo "== fault-injection conformance + harness determinism =="
 cargo test --release -q -p wifi-backscatter --test fault_injection
 cargo test --release -q -p bs-bench --test determinism
 
+echo "== capture synthesis identity (bit-exact synthesis golden, streaming == batch) =="
+# Scenes evaluate their static multipath responses once per offset list;
+# the cached path must reproduce every synthesised bit. golden_decode pins
+# an FNV-1a digest of every capture_uplink bundle bit
+# (tests/golden/capture_synthesis.txt), and stream_equivalence pins
+# streaming decode to batch decode on captures synthesised the same way.
+cargo test --release -q -p wifi-backscatter --test golden_decode
+cargo test --release -q -p wifi-backscatter --test stream_equivalence
+
 echo "== public-API drift gate + observability conformance =="
 # The preludes (core and bs-net) are the blessed API surface; both
 # manifests are pinned against tests/golden/prelude_api.txt (re-bless
