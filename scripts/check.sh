@@ -111,12 +111,18 @@ echo "== fec conformance (cross-layer: dsp GF(256) -> net coder -> wild traffic)
 # the coder on, and the rate rule disables itself on benign traffic.
 cargo test --release -q -p bs-net --test fec_transport
 
-echo "== fleet conformance (jobs determinism, shard invariance, truncation/duplicate regressions) =="
+echo "== fleet conformance (jobs determinism, shard invariance, truncation/duplicate regressions, singulation identity) =="
 # The sharded fleet engine's contract: byte-identical FleetRun JSON
 # under any worker count, per-tag outcomes invariant under the shard
 # count (property test), duplicate addresses rejected with a typed
-# error, and max_cycles truncation mirrored per shard.
+# error, degenerate spacing/radius rejected within a wall bound, and
+# max_cycles truncation mirrored per shard. Singulation, which every
+# gateway-epoch runs first, is pinned by the inventory goldens (rosters
+# of 1-250 tags and a 200-tag gateway under loss) and by the property
+# test matching the one-pass round loop to the slot-scan oracle.
 cargo test --release -q -p bs-net --test fleet_conformance
+cargo test --release -q -p bs-net --test inventory_golden
+cargo test --release -q -p wifi-backscatter --lib multitag::tests::one_pass_rounds_match_the_slot_scan_oracle
 
 echo "== energy conformance (always-powered bit-identity, brownout physics, aware >= naive, jobs determinism) =="
 # The energy co-simulation's contract: energy off and always-powered
