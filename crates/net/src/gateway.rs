@@ -344,8 +344,8 @@ pub(crate) fn jain_index(shares: &[u64]) -> f64 {
     sum * sum / (shares.len() as f64 * sq)
 }
 
-struct ServedTag {
-    profile: TagProfile,
+struct ServedTag<'a> {
+    profile: &'a TagProfile,
     session: TransportSession,
     link: SimLink,
     deficit: u64,
@@ -363,7 +363,7 @@ struct ServedTag {
     skip_until_cycle: u32,
 }
 
-impl ServedTag {
+impl ServedTag<'_> {
     /// Integrates the tag's supply forward to `up_to_us` at `load_uw`.
     fn integrate_energy(&mut self, up_to_us: u64, load_uw: f64) {
         let span = up_to_us.saturating_sub(self.energy_at_us);
@@ -407,9 +407,9 @@ pub fn run_gateway_with(
     // Reject ambiguous rosters up front: with a duplicate address the
     // post-inventory profile lookup would silently serve the first
     // matching profile for every identification of that address.
-    let mut seen = [false; 256];
+    let mut profile_of: [Option<&TagProfile>; 256] = [None; 256];
     for t in tags {
-        if std::mem::replace(&mut seen[t.address as usize], true) {
+        if profile_of[t.address as usize].replace(t).is_some() {
             return Err(GatewayError::DuplicateAddress { address: t.address });
         }
     }
@@ -446,7 +446,7 @@ pub fn run_gateway_with(
     let mut served: Vec<ServedTag> = inventory
         .identified
         .iter()
-        .filter_map(|&addr| tags.iter().find(|t| t.address == addr))
+        .filter_map(|&addr| profile_of[addr as usize])
         .enumerate()
         .map(|(i, profile)| {
             // Audit note: initial rate selection used to call the
@@ -470,7 +470,7 @@ pub fn run_gateway_with(
             ServedTag {
                 session: TransportSession::new(&profile.message, tcfg),
                 capacitor: profile.energy.map(|e| Capacitor::new(e.capacitor)),
-                profile: profile.clone(),
+                profile,
                 link,
                 deficit: 0,
                 rounds_served: 0,
