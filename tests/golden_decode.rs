@@ -29,20 +29,9 @@ use wifi_backscatter::phy::run_uplink;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use wifi_backscatter::SeriesBundle;
 
-/// Compares `actual` against the committed fixture, or rewrites the
-/// fixture when `GOLDEN_BLESS` is set.
-fn assert_golden(rel_path: &str, committed: &str, actual: &str) {
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        let path = format!("{}/../../{rel_path}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("blessing {path}: {e}"));
-        return;
-    }
-    assert_eq!(
-        committed, actual,
-        "golden mismatch for {rel_path}; if intentional, re-bless with \
-         GOLDEN_BLESS=1 and review the fixture diff"
-    );
-}
+#[path = "golden_support.rs"]
+mod golden_support;
+use golden_support::assert_golden;
 
 fn fmt_decision(d: Decision) -> char {
     match d {
